@@ -5,6 +5,8 @@ pedantic mode (the experiments are deterministic and internally sized;
 statistical timing repetition would only re-run multi-second pipelines),
 prints the paper-vs-measured table, and persists it under
 ``benchmarks/results/`` so EXPERIMENTS.md can cite stable artifacts.
+Tables carrying timings differ on every run, so they go to the
+git-ignored ``benchmarks/results/latest/`` instead.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from pathlib import Path
 from repro.experiments.runner import ExperimentResult, format_table
 
 RESULTS_DIR = Path(__file__).parent / "results"
+LATEST_DIR = RESULTS_DIR / "latest"
 
 
 def run_once(benchmark, func, *args, **kwargs) -> ExperimentResult:
@@ -22,11 +25,11 @@ def run_once(benchmark, func, *args, **kwargs) -> ExperimentResult:
                               rounds=1, iterations=1)
 
 
-def report(result: ExperimentResult) -> str:
+def report(result: ExperimentResult, directory: Path = RESULTS_DIR) -> str:
     """Print and persist an experiment table; return the rendered text."""
     text = format_table(result)
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    path = RESULTS_DIR / f"{result.experiment_id}.txt"
+    directory.mkdir(parents=True, exist_ok=True)
+    path = directory / f"{result.experiment_id}.txt"
     path.write_text(text + "\n")
     print("\n" + text)
     return text

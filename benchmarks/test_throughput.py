@@ -1,10 +1,10 @@
 """Bench: Sec 6.4 — per-item cost of each encoding, plus the hub soak.
 
 Besides the human-readable table, this bench emits the machine-readable
-``benchmarks/results/BENCH_throughput.json`` (µs/item and speedup over
-the seed revision's recorded figures, and the 1,000-stream hub soak's
-µs/item next to the single-session figure) so the performance
-trajectory is tracked from PR 2 on.  It asserts the vectorized scan
+``BENCH_throughput.json`` (µs/item and speedup over the seed revision's
+recorded figures, and the 1,000-stream hub soak's µs/item next to the
+single-session figure).  Both change on every run, so both go to the
+git-ignored ``benchmarks/results/latest/``.  It asserts the vectorized scan
 keeps the initial encoding at least 5x faster than the seed, and that
 multiplexing 1,000 concurrent streams through a
 :class:`repro.StreamHub` costs at most 1.5x the per-item price of one
@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 
 import numpy as np
-from _util import RESULTS_DIR, report, run_once
+from _util import LATEST_DIR, report, run_once
 
 from repro.experiments.config import bench_scale
 from repro.experiments.datasets import reference_synthetic
@@ -37,7 +37,7 @@ from repro.experiments.throughput import (
 def test_throughput_overheads(benchmark):
     scale = bench_scale()
     result = run_once(benchmark, run_throughput, scale)
-    report(result)
+    report(result, LATEST_DIR)
 
     # Hub soak: 1,000 concurrent small-chunk streams at full scale
     # (proportionally fewer when the harness shrinks the workload).
@@ -108,8 +108,7 @@ def test_throughput_overheads(benchmark):
                               metrics_overhead=overhead,
                               loadgen_churn=churn,
                               chaos_soak=chaos_soak)
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    with open(RESULTS_DIR / "BENCH_throughput.json", "w") as handle:
+    with open(LATEST_DIR / "BENCH_throughput.json", "w") as handle:
         json.dump(payload, handle, indent=1)
         handle.write("\n")
 

@@ -240,6 +240,7 @@ class ChaosCheckpointStore(CheckpointStore):
 
     def __init__(self, inner: CheckpointStore, injector: FaultInjector,
                  site: str = "store") -> None:
+        super().__init__()
         self._inner = inner
         self._injector = injector
         self._site = site
@@ -253,7 +254,7 @@ class ChaosCheckpointStore(CheckpointStore):
         return self._inner
 
     # -- faulty primitives ----------------------------------------------
-    def _put(self, stream_id: str, text: str) -> None:
+    def _put(self, stream_id: str, text: str) -> object:
         decision = self._injector.store_write_fault(
             self._site + ".put", self._faults)
         if decision is not None:
@@ -278,7 +279,10 @@ class ChaosCheckpointStore(CheckpointStore):
         previous = self._inner._get(stream_id)
         if previous is not None:
             self._shadow[stream_id] = previous
-        self._inner._put(stream_id, text)
+        return self._inner._put(stream_id, text)
+
+    def _put_token(self, stream_id: str) -> object:
+        return self._inner._put_token(stream_id)
 
     def _get(self, stream_id: str) -> "str | None":
         return self._inner._get(stream_id)

@@ -68,9 +68,11 @@ class ScanCounters:
         """JSON-compatible snapshot of every counter.
 
         Derived from the dataclass fields so a newly added counter
-        round-trips through checkpoints automatically.
+        round-trips through checkpoints automatically.  A flat read of
+        the cached field names: every counter is a plain int, so this
+        equals ``dataclasses.asdict`` without its recursive deep copy.
         """
-        return dataclasses.asdict(self)
+        return {name: getattr(self, name) for name in _COUNTER_FIELDS}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScanCounters":
@@ -80,8 +82,11 @@ class ScanCounters:
         checkpoint written before a counter existed (or after one was
         retired) still restores.
         """
-        return cls(**{f.name: int(data.get(f.name, 0))
-                      for f in dataclasses.fields(cls)})
+        return cls(**{name: int(data.get(name, 0))
+                      for name in _COUNTER_FIELDS})
+
+
+_COUNTER_FIELDS = tuple(f.name for f in dataclasses.fields(ScanCounters))
 
 
 class StreamScanner:

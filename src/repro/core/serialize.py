@@ -21,23 +21,18 @@ from repro.errors import ParameterError
 
 _FORMAT_VERSION = 1
 
-
-def _counters_to_dict(counters: ScanCounters) -> dict:
-    return counters.to_dict()
-
-
-def _counters_from_dict(data: dict) -> ScanCounters:
-    return ScanCounters.from_dict(data)
+_PARAM_FIELDS = tuple(f.name for f in dataclasses.fields(WatermarkParams))
 
 
 def params_to_dict(params: WatermarkParams) -> dict:
     """Serialize watermarking parameters field-by-field.
 
     Every :class:`WatermarkParams` field is a plain scalar, so the dict
-    is JSON-compatible as-is; :func:`params_from_dict` re-runs the
-    constructor and therefore re-validates every invariant.
+    is JSON-compatible as-is (and equal to ``dataclasses.asdict``,
+    without its recursive deep copy); :func:`params_from_dict` re-runs
+    the constructor and therefore re-validates every invariant.
     """
-    return dataclasses.asdict(params)
+    return {name: getattr(params, name) for name in _PARAM_FIELDS}
 
 
 def params_from_dict(data: dict) -> WatermarkParams:
@@ -46,8 +41,7 @@ def params_from_dict(data: dict) -> WatermarkParams:
     Unknown keys are rejected (a newer library's parameter would
     otherwise be silently dropped, changing detection semantics).
     """
-    known = {f.name for f in dataclasses.fields(WatermarkParams)}
-    unknown = set(data) - known
+    unknown = set(data) - set(_PARAM_FIELDS)
     if unknown:
         raise ParameterError(
             f"unknown WatermarkParams fields in archive: {sorted(unknown)}"
@@ -64,7 +58,7 @@ def detection_to_dict(result: DetectionResult) -> dict:
         "buckets_false": list(result.buckets_false),
         "abstentions": result.abstentions,
         "vote_threshold": result.vote_threshold,
-        "counters": _counters_to_dict(result.counters),
+        "counters": result.counters.to_dict(),
     }
 
 
@@ -74,7 +68,7 @@ def detection_from_dict(data: dict) -> DetectionResult:
     return DetectionResult(
         buckets_true=[int(x) for x in data["buckets_true"]],
         buckets_false=[int(x) for x in data["buckets_false"]],
-        counters=_counters_from_dict(data["counters"]),
+        counters=ScanCounters.from_dict(data["counters"]),
         abstentions=int(data["abstentions"]),
         vote_threshold=int(data["vote_threshold"]))
 
@@ -84,7 +78,7 @@ def report_to_dict(report: EmbedReport) -> dict:
     return {
         "format_version": _FORMAT_VERSION,
         "kind": "embed-report",
-        "counters": _counters_to_dict(report.counters),
+        "counters": report.counters.to_dict(),
         "embedded": report.embedded,
         "search_failures": report.search_failures,
         "quality_rollbacks": report.quality_rollbacks,
@@ -99,7 +93,7 @@ def report_from_dict(data: dict) -> EmbedReport:
     """Reconstruct an embed report serialized by :func:`report_to_dict`."""
     _check(data, "embed-report")
     return EmbedReport(
-        counters=_counters_from_dict(data["counters"]),
+        counters=ScanCounters.from_dict(data["counters"]),
         embedded=int(data["embedded"]),
         search_failures=int(data["search_failures"]),
         quality_rollbacks=int(data["quality_rollbacks"]),

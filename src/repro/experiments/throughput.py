@@ -28,7 +28,7 @@ embed/detect outputs are bit-identical to the recorded reference — the
 CI benchmark smoke job fails on drift.  Run standalone with::
 
     python -m repro.experiments.throughput --scale 0.25 \
-        --json benchmarks/results/BENCH_throughput.json \
+        --json BENCH_throughput.json \
         --check benchmarks/results/reference_bits.json
 """
 

@@ -154,12 +154,11 @@ class StreamHub:
         Upper bound on sessions resident in memory; beyond it the least
         recently pushed streams are checkpointed and evicted.  ``None``
         keeps everything live.
-    checkpoint_hook:
-        Optional callable invoked with the stream id immediately
-        *before* every checkpoint write (cadence, eviction, explicit),
-        so companion state can be persisted no later than the session
-        state it describes (used by the network server's output-replay
-        sidecar).
+    checkpoint_extra:
+        Optional callable ``(stream_id) -> dict | None`` called on every
+        checkpoint write (cadence, eviction, explicit); its result is
+        saved in the *same* atomic store envelope as the session state
+        (the network server keeps its output-replay buffer there).
     metrics:
         Optional :class:`~repro.obs.MetricsRegistry`.  When given (and
         enabled) the hub feeds per-hub counters, a per-push latency
@@ -176,7 +175,7 @@ class StreamHub:
     def __init__(self, *, store: "CheckpointStore | None" = None,
                  checkpoint_every: int = 0,
                  max_live_sessions: "int | None" = None,
-                 checkpoint_hook: "Callable[[str], None] | None" = None,
+                 checkpoint_extra: "Callable | None" = None,
                  metrics=None,
                  metrics_labels: "dict | None" = None) -> None:
         if checkpoint_every < 0:
@@ -195,12 +194,7 @@ class StreamHub:
         self._store = store if store is not None else MemoryCheckpointStore()
         self._checkpoint_every = int(checkpoint_every)
         self._max_live = max_live_sessions
-        #: Called with the stream id immediately *before* every
-        #: checkpoint write (cadence, eviction, explicit), so a caller
-        #: persisting companion state (e.g. the network server's
-        #: output-replay sidecar) can guarantee it is never older than
-        #: the session state it accompanies.
-        self._checkpoint_hook = checkpoint_hook
+        self._checkpoint_extra = checkpoint_extra
         #: Live sessions in LRU order (least recently used first).
         self._sessions: "OrderedDict[str, object]" = OrderedDict()
         self._keys: "dict[str, object]" = {}
@@ -328,23 +322,26 @@ class StreamHub:
             items_at_checkpoint=int(counters.get("items", 0)), live=False,
             finished=bool(state.get("finished", False)))
 
-    def restore(self, stream_id: str, key) -> None:
+    def restore(self, stream_id: str, key,
+                state: "dict | None" = None) -> None:
         """Adopt one checkpointed stream from the store into this hub.
 
         The per-stream counterpart of :meth:`recover`: a hub that was
         started empty against an existing store (e.g. a network server
         booted with ``--recover``) re-admits streams lazily, as each
         client reconnects and re-supplies its key.  The restored session
-        continues bit-identically from its latest durable checkpoint.
+        continues bit-identically from its latest durable checkpoint, or
+        from ``state`` when the caller already read that envelope.
         """
         self._check_new_id(stream_id)
-        if stream_id not in self._store:
-            raise HubError(
-                f"store holds no checkpoint for stream {stream_id!r}; "
-                "nothing to restore"
-            )
-        self._adopt(stream_id, session_from_state(self._store.load(stream_id),
-                                                  key), key)
+        if state is None:
+            if stream_id not in self._store:
+                raise HubError(
+                    f"store holds no checkpoint for stream {stream_id!r}; "
+                    "nothing to restore"
+                )
+            state = self._store.load(stream_id)
+        self._adopt(stream_id, session_from_state(state, key), key)
         self._stats[stream_id].restores += 1
         self._m_restores.inc()
 
@@ -548,9 +545,9 @@ class StreamHub:
                 for stream_id in self.stream_ids}
 
     def _write_checkpoint(self, stream_id: str, session) -> int:
-        if self._checkpoint_hook is not None:
-            self._checkpoint_hook(stream_id)
-        sequence = self._store.save(stream_id, session.to_state())
+        extra = (self._checkpoint_extra(stream_id)
+                 if self._checkpoint_extra is not None else None)
+        sequence = self._store.save(stream_id, session.to_state(), extra)
         stats = self._stats[stream_id]
         stats.checkpoints += 1
         stats.items_at_checkpoint = stats.items_in

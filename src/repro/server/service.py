@@ -25,8 +25,8 @@ Design points:
   live only in process memory.
 * **exactly-once outputs** — result payloads a client has not yet
   acknowledged (the ``delivered`` field on its frames) are kept in a
-  bounded per-stream replay buffer, persisted in a sidecar entry
-  *before* every session checkpoint (via the hub's checkpoint hook).
+  bounded per-stream replay buffer, saved in the same atomic envelope
+  as every session checkpoint (the hub's ``checkpoint_extra``).
   On resume the server re-sends exactly the unacknowledged output
   range, so a result frame lost to a dropped connection — or to a
   SIGKILL between a checkpoint and the client's read — is redelivered
@@ -93,7 +93,7 @@ DRAIN_GRACE_FRAMES = 32
 def _key_fingerprint(tenant: str, stream_id: str, key: bytes) -> str:
     """One-way fingerprint binding a key to one stream of one tenant.
 
-    Persisted in the replay sidecar so a ``--recover`` restart can
+    Persisted in each checkpoint envelope so a ``--recover`` restart can
     refuse a resume under the wrong key (which would silently corrupt
     the watermark and lock out the owner).  The key itself is never
     stored; the domain-separated hash resists cross-stream correlation.
@@ -212,10 +212,8 @@ class StreamService:
     fault_injector:
         Optional :class:`~repro.chaos.FaultInjector` (``repro serve
         --chaos``): wraps the listening transport and the per-tenant
-        session stores with the chaos wrappers and arms the plan's
-        process-crash gates inside the push path.  The replay sidecar
-        stores stay unwrapped — they model the service's own metadata,
-        not the failure domain under test.
+        stores with the chaos wrappers and arms the plan's process-crash
+        gates inside the push path.
     """
 
     def __init__(self, *, host: str = "127.0.0.1", port: int = 0,
@@ -256,8 +254,6 @@ class StreamService:
         self._recover = recover
         self._max_frame_bytes = int(max_frame_bytes)
         self._hubs: "dict[str, StreamHub]" = {}
-        #: tenant -> sidecar store holding each stream's replay buffer.
-        self._meta_stores: "dict[str, object]" = {}
         #: (tenant, stream_id) -> owning connection, while one is live.
         self._owners: "dict[tuple[str, str], _Connection]" = {}
         #: (tenant, stream_id) -> key bytes seen for that stream.
@@ -326,6 +322,11 @@ class StreamService:
                     f"for {sum(len(v) for v in leftover.values())} "
                     "stream(s); start with --recover to resume them"
                 )
+        if self._recover and self._store_path is not None \
+                and (self._store_path / "%meta").is_dir():
+            logger.warning("ignoring legacy %%meta/ replay sidecars in %s: "
+                           "their unacknowledged outputs cannot be "
+                           "redelivered", self._store_path)
         self._listener = await self._transport.serve(
             self._host, self._port, self._handle_connection,
             max_bytes=self._max_frame_bytes)
@@ -468,7 +469,7 @@ class StreamService:
         if self._store_path is None or not self._store_path.is_dir():
             return found
         for entry in sorted(self._store_path.iterdir()):
-            if not entry.is_dir() or entry.name == "%meta":
+            if not entry.is_dir():
                 continue
             ids = build_store(self._store_backend, entry).ids()
             if ids:
@@ -488,10 +489,7 @@ class StreamService:
         The hub itself runs with ``checkpoint_every=0``: the *service*
         owns the cadence so checkpoints land only after a push's result
         has been handed to the transport — never between ingestion and
-        delivery, where a crash would strand released outputs.  The
-        checkpoint hook persists the replay sidecar immediately before
-        every session write (including LRU evictions), so the sidecar
-        is never older than the session state it covers.
+        delivery, where a crash would strand released outputs.
         """
         hub = self._hubs.get(tenant)
         if hub is None:
@@ -499,14 +497,8 @@ class StreamService:
                 quoted = quote(tenant, safe="")
                 store = build_store(self._store_backend,
                                     self._store_path / quoted)
-                # Sidecars live under one reserved directory whose name
-                # cannot collide with any quoted tenant: quote() output
-                # contains "%" only in valid %XX escapes, never "%m".
-                meta = build_store(self._store_backend,
-                                   self._store_path / "%meta" / quoted)
             else:
                 store = build_store("memory")
-                meta = build_store("memory")
             if self._fault_injector is not None \
                     and self._fault_injector.plan.store.active():
                 from repro.chaos.wrappers import ChaosCheckpointStore
@@ -514,12 +506,11 @@ class StreamService:
                                              site=f"store.{tenant}")
             hub = StreamHub(store=store, checkpoint_every=0,
                             max_live_sessions=self._max_live,
-                            checkpoint_hook=lambda stream_id, _t=tenant:
-                            self._save_sidecar(_t, stream_id),
+                            checkpoint_extra=lambda stream_id, _t=tenant:
+                            self._replay_extra(_t, stream_id),
                             metrics=self.metrics,
                             metrics_labels={"tenant": tenant})
             self._hubs[tenant] = hub
-            self._meta_stores[tenant] = meta
         return hub
 
     # ------------------------------------------------------------------
@@ -571,48 +562,42 @@ class StreamService:
         replay = np.concatenate(pieces)
         return replay[:items_out - delivered]
 
-    def _save_sidecar(self, tenant: str, stream_id: str) -> None:
-        """Persist the stream's replay buffer + key fingerprint.
-
-        Invoked by the hub's checkpoint hook *before* the session state
-        is written, so after any crash the durable sidecar covers at
-        least every output the durable session state has released.
-        """
+    def _replay_extra(self, tenant: str, stream_id: str) -> dict:
+        """Replay buffer, ack watermark and key fingerprint of a stream,
+        saved in the envelope of each of its session checkpoints."""
         claim = (tenant, stream_id)
         key = self._keys.get(claim)
-        entry = {
+        return {
             "acked": self._acked.get(claim, 0),
             "key_fp": (_key_fingerprint(tenant, stream_id, key)
                        if key is not None else None),
             "chunks": [[int(start), protocol.encode_array(values)]
                        for start, values in self._outbuf.get(claim, ())],
         }
-        self._meta_stores[tenant].save(stream_id, entry)
 
-    def _load_sidecar(self, tenant: str, stream_id: str,
-                      key: bytes) -> None:
-        """Rehydrate the replay buffer after a ``--recover`` restore.
+    def _rehydrate(self, tenant: str, stream_id: str, key: bytes,
+                   extra: "dict | None") -> None:
+        """Rebuild the replay buffer from a restored envelope's extra.
 
         Verifies the key fingerprint recorded at checkpoint time: a
         resume under a different key would continue the embedding with
-        a corrupted watermark and lock the owner out.
+        a corrupted watermark and lock the owner out.  A legacy envelope
+        (no extra) leaves the buffer empty, so redelivery fails loudly.
         """
-        claim = (tenant, stream_id)
-        meta = self._meta_stores[tenant]
-        if stream_id not in meta:
+        if not extra:
             return
-        entry = meta.load(stream_id)
-        recorded = entry.get("key_fp")
+        claim = (tenant, stream_id)
+        recorded = extra.get("key_fp")
         if recorded is not None \
                 and recorded != _key_fingerprint(tenant, stream_id, key):
             raise ReproError(
                 f"key mismatch for stream {stream_id!r}; a resumed "
                 "stream must re-supply its original key"
             )
-        self._acked[claim] = int(entry.get("acked", 0))
+        self._acked[claim] = int(extra.get("acked", 0))
         self._outbuf[claim] = deque(
-            (int(start), protocol.decode_array(values, source="sidecar"))
-            for start, values in entry.get("chunks", ()))
+            (int(start), protocol.decode_array(values, source="checkpoint"))
+            for start, values in extra.get("chunks", ()))
 
     def _forget_stream(self, claim: "tuple[str, str]") -> None:
         """Drop all service-side state for a finished/dropped stream."""
@@ -621,9 +606,6 @@ class StreamService:
         self._outbuf.pop(claim, None)
         self._acked.pop(claim, None)
         self._push_counts.pop(claim, None)
-        meta = self._meta_stores.get(claim[0])
-        if meta is not None and claim[1] in meta:
-            meta.delete(claim[1])
 
     async def _checkpoint_loop(self) -> None:
         while True:
@@ -859,15 +841,17 @@ class StreamService:
                     "stream must re-supply its original key"
                 )
         elif resume and stream_id in hub.store:
-            # Fingerprint check precedes the restore so a wrong key
-            # cannot even build the session.
-            self._load_sidecar(tenant, stream_id, key)
-            hub.restore(stream_id, key)
+            # Session and replay buffer come from one envelope; the key
+            # check precedes the restore so a wrong key cannot even
+            # build the session.
+            entry = hub.store.entry(stream_id)
+            self._rehydrate(tenant, stream_id, key, entry.get("extra"))
+            hub.restore(stream_id, key, entry["state"])
         else:
             # Fresh registration — also the resume fallback when the
             # server lost everything before the first checkpoint (the
-            # client then replays from item 0).  Any stale sidecar or
-            # buffer under this id belongs to a previous life.
+            # client then replays from item 0).  Any stale buffer under
+            # this id belongs to a previous life.
             self._forget_stream(claim)
             self._register(hub, stream_id, key, frame)
         self._owners[claim] = connection
@@ -1026,7 +1010,7 @@ class StreamService:
         self._buffer_output(claim, offsets["items_out"] - tail.size, tail)
         await connection.send(result)
         # The stream is complete and its result delivered: evict it and
-        # its checkpoint + sidecar so a long-lived server does not leak.
+        # its checkpoint so a long-lived server does not leak.
         hub.drop(stream_id)
         self._forget_stream(claim)
         connection.credits.pop(stream_id, None)

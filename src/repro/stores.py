@@ -16,12 +16,15 @@ process-local dict to a replicated object store:
 Every entry is a **versioned JSON envelope**::
 
     {"format_version": 1, "kind": "hub-checkpoint",
-     "stream_id": "...", "sequence": 7, "state": {...}}
+     "stream_id": "...", "sequence": 7, "state": {...},
+     "extra": {...}}
 
-``sequence`` increments on every save, so operators (and ``repro hub
-status``) can see checkpoint progress.  The secret keys are **never**
-part of any entry — stores persist only what ``to_state()`` emits, and
-that contract excludes key material by construction.
+``extra`` (optional) is companion data saved atomically with the state,
+e.g. the network server's replay buffer.  ``sequence`` increments on
+every save, so operators (and ``repro hub status``) can see checkpoint
+progress.  The secret keys are **never** part of any entry — stores
+persist only what ``to_state()`` emits, and that contract excludes key
+material by construction.
 
 Both backends funnel through one JSON round-trip, so a state that the
 directory backend would reject (non-serializable values) fails
@@ -32,11 +35,11 @@ modes raise :class:`repro.errors.CheckpointStoreError`.
 from __future__ import annotations
 
 import abc
+import contextlib
 import json
 import logging
 import os
 import shutil
-import tempfile
 from pathlib import Path
 from urllib.parse import quote, unquote
 
@@ -49,23 +52,28 @@ _STORE_VERSION = 1
 _ENTRY_KIND = "hub-checkpoint"
 
 
-def _make_entry(stream_id: str, state: dict, sequence: int) -> dict:
+def _make_entry(stream_id: str, state: dict, extra: "dict | None") -> dict:
     if not isinstance(stream_id, str) or not stream_id:
         raise CheckpointStoreError(
             f"stream id must be a non-empty string, got {stream_id!r}"
         )
-    if not isinstance(state, dict):
-        raise CheckpointStoreError(
-            f"checkpoint state for {stream_id!r} must be a dict, "
-            f"got {type(state).__name__}"
-        )
-    return {
+    for name, value in (("state", state),
+                        ("extra", {} if extra is None else extra)):
+        if not isinstance(value, dict):
+            raise CheckpointStoreError(
+                f"checkpoint {name} for {stream_id!r} must be a dict, "
+                f"got {type(value).__name__}"
+            )
+    entry = {
         "format_version": _STORE_VERSION,
         "kind": _ENTRY_KIND,
         "stream_id": stream_id,
-        "sequence": int(sequence),
+        "sequence": 0,
         "state": state,
     }
+    if extra is not None:
+        entry["extra"] = extra
+    return entry
 
 
 def validate_entry(entry, *, source: str) -> dict:
@@ -80,7 +88,7 @@ def validate_entry(entry, *, source: str) -> dict:
             f"got {type(entry).__name__}"
         )
     unknown = set(entry) - {"format_version", "kind", "stream_id",
-                            "sequence", "state"}
+                            "sequence", "state", "extra"}
     if unknown:
         raise CheckpointStoreError(
             f"{source}: unknown checkpoint entry fields {sorted(unknown)}"
@@ -116,6 +124,8 @@ def validate_entry(entry, *, source: str) -> dict:
         raise CheckpointStoreError(
             f"{source}: entry state is not a dict (truncated checkpoint?)"
         )
+    if not isinstance(entry.get("extra", {}), dict):
+        raise CheckpointStoreError(f"{source}: entry extra is not a dict")
     return entry
 
 
@@ -126,19 +136,33 @@ class CheckpointStore(abc.ABC):
     :meth:`_get`, :meth:`_discard`, :meth:`_ids`); the envelope logic —
     JSON encoding, sequence numbering, validation — lives here once, so
     every backend accepts and rejects exactly the same payloads.
+
+    **Sequence rule.**  An instance remembers the sequence of its last
+    successful save per stream, with the token :meth:`_put` returned.
+    While :meth:`_put_token` still matches that token, the next save
+    just adds one; otherwise (first save, a failed save, an entry
+    changed underneath) it reads the stored entry back once.
     """
+
+    def __init__(self) -> None:
+        self._sequences: "dict[str, tuple[int, object]]" = {}
 
     # ------------------------------------------------------------------
     # public API
     # ------------------------------------------------------------------
-    def save(self, stream_id: str, state: dict) -> int:
+    def save(self, stream_id: str, state: dict,
+             extra: "dict | None" = None) -> int:
         """Persist ``state`` as the latest checkpoint; return its sequence.
 
         The sequence number starts at 1 and increments on every save of
         the same stream id (replacing the previous entry atomically).
+        ``extra`` is stored in the same envelope as ``state``.
         """
-        previous = self._current_sequence(stream_id)
-        entry = _make_entry(stream_id, state, previous + 1)
+        entry = _make_entry(stream_id, state, extra)  # validates first
+        written = self._sequences.pop(stream_id, None)
+        if written is None or written[1] != self._put_token(stream_id):
+            written = (self._current_sequence(stream_id), None)
+        sequence = entry["sequence"] = written[0] + 1
         try:
             text = json.dumps(entry)
         except (TypeError, ValueError) as exc:
@@ -146,15 +170,17 @@ class CheckpointStore(abc.ABC):
                 f"checkpoint state for {stream_id!r} is not "
                 f"JSON-serializable: {exc}"
             ) from exc
-        self._put(stream_id, text)
-        return previous + 1
+        # A failed put leaves the sequence forgotten, so the next save
+        # re-reads whatever the failure left behind.
+        self._sequences[stream_id] = (sequence, self._put(stream_id, text))
+        return sequence
 
     def load(self, stream_id: str) -> dict:
         """Return the latest checkpointed session state for one stream."""
         return self.entry(stream_id)["state"]
 
     def entry(self, stream_id: str) -> dict:
-        """Return the full validated envelope (state + sequence + id)."""
+        """Return the full validated envelope (state, extra, sequence)."""
         raw = self._get(stream_id)
         if raw is None:
             raise CheckpointStoreError(
@@ -174,6 +200,7 @@ class CheckpointStore(abc.ABC):
 
     def delete(self, stream_id: str) -> None:
         """Drop one stream's checkpoint; missing ids are an error."""
+        self._sequences.pop(stream_id, None)
         if not self._discard(stream_id):
             raise CheckpointStoreError(
                 f"no checkpoint stored for stream id {stream_id!r}"
@@ -195,8 +222,8 @@ class CheckpointStore(abc.ABC):
     # backend primitives
     # ------------------------------------------------------------------
     @abc.abstractmethod
-    def _put(self, stream_id: str, text: str) -> None:
-        """Store ``text`` as the latest entry for ``stream_id``."""
+    def _put(self, stream_id: str, text: str) -> object:
+        """Store ``text`` as the latest entry; may return a token."""
 
     @abc.abstractmethod
     def _get(self, stream_id: str) -> "str | None":
@@ -210,14 +237,20 @@ class CheckpointStore(abc.ABC):
     def _ids(self) -> "list[str]":
         """Stream ids currently stored (any order)."""
 
+    def _put_token(self, stream_id: str) -> object:
+        """Token of the stored entry, compared with :meth:`_put`'s."""
+        return None
+
     # ------------------------------------------------------------------
     def _current_sequence(self, stream_id: str) -> int:
-        raw = self._get(stream_id)
-        if raw is None:
+        try:
+            return self.entry(stream_id)["sequence"]
+        except CheckpointStoreError:
+            # A present-but-corrupt entry (with no fallback) propagates:
+            # restarting the sequence over garbage would hide data loss.
+            if stream_id in self:
+                raise
             return 0
-        # A present-but-corrupt entry propagates its error: silently
-        # restarting the sequence over garbage would hide data loss.
-        return self._decode(raw, stream_id)["sequence"]
 
 
 @REGISTRY.register("store", "memory",
@@ -232,6 +265,7 @@ class MemoryCheckpointStore(CheckpointStore):
     """
 
     def __init__(self) -> None:
+        super().__init__()
         self._entries: "dict[str, str]" = {}
 
     def _put(self, stream_id: str, text: str) -> None:
@@ -259,10 +293,12 @@ class MemoryCheckpointStore(CheckpointStore):
 class DirectoryCheckpointStore(CheckpointStore):
     """Durable checkpoint store: one atomically-written file per stream.
 
-    Each save writes ``<quoted-stream-id>.json`` via a temporary file in
-    the same directory, ``fsync``, then ``os.replace`` — so readers (and
-    post-crash recovery) only ever observe either the previous complete
-    checkpoint or the new complete checkpoint, never a torn write.
+    Each save writes ``<quoted-stream-id>.json`` via a per-stream
+    temporary file (``<name>.json.tmp``) in the same directory,
+    ``fsync``, then ``os.replace`` — so readers (and post-crash
+    recovery) only ever observe either the previous complete checkpoint
+    or the new complete checkpoint, never a torn write.  The fixed temp
+    name assumes one writer per stream, which the hub guarantees.
     Stream ids are percent-encoded (``urllib.parse.quote`` with no safe
     characters), so ids containing separators or unicode round-trip.
 
@@ -282,6 +318,7 @@ class DirectoryCheckpointStore(CheckpointStore):
 
     def __init__(self, path: "str | Path", *, create: bool = True,
                  generations: int = 3) -> None:
+        super().__init__()
         self._dir = Path(path)
         self._generations = max(1, int(generations))
         #: Times ``entry()`` fell back to an older generation.
@@ -319,7 +356,7 @@ class DirectoryCheckpointStore(CheckpointStore):
         return self._dir / (quote(stream_id, safe="")
                             + f".json.{generation}")
 
-    def _rotate_generations(self, stream_id: str, target: Path) -> None:
+    def _rotate_generations(self, target: str) -> None:
         """Shift old generations up and snapshot the current latest.
 
         The latest file is *linked* (same inode) into generation 1
@@ -327,50 +364,64 @@ class DirectoryCheckpointStore(CheckpointStore):
         complete latest entry on disk; the subsequent ``os.replace`` of
         the new entry then atomically supersedes it.
         """
-        if self._generations <= 1 or not target.exists():
+        if self._generations <= 1 or not os.path.exists(target):
             return
         for generation in range(self._generations - 1, 1, -1):
-            source = self._generation_file(stream_id, generation - 1)
-            if source.exists():
-                os.replace(source, self._generation_file(stream_id,
-                                                         generation))
-        newest = self._generation_file(stream_id, 1)
+            try:
+                os.replace(f"{target}.{generation - 1}",
+                           f"{target}.{generation}")
+            except FileNotFoundError:
+                pass
+        newest = f"{target}.1"
+        if self._generations == 2:  # no shift moved it out of the way
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(newest)
         try:
-            newest.unlink(missing_ok=True)
             os.link(target, newest)
         except OSError:  # pragma: no cover - filesystems without links
             shutil.copyfile(target, newest)
 
-    def _put(self, stream_id: str, text: str) -> None:
+    def _put(self, stream_id: str, text: str) -> "tuple | None":
         """Atomically replace the stream's file with the new entry."""
-        target = self._file_for(stream_id)
-        fd, tmp_name = tempfile.mkstemp(dir=self._dir, suffix=".tmp")
+        target = str(self._file_for(stream_id))
+        tmp_name = f"{target}.tmp"
+        replaced = False
         try:
+            fd = os.open(tmp_name, os.O_WRONLY | os.O_CREAT | os.O_TRUNC,
+                         0o600)
             with os.fdopen(fd, "w") as handle:
                 handle.write(text)
                 handle.flush()
                 os.fsync(handle.fileno())
-            self._rotate_generations(stream_id, target)
+            self._rotate_generations(target)
             os.replace(tmp_name, target)
+            replaced = True
         except OSError as exc:
             raise CheckpointStoreError(
                 f"cannot write checkpoint for {stream_id!r} "
                 f"under {self._dir}: {exc}"
             ) from exc
         finally:
-            if os.path.exists(tmp_name):
-                os.unlink(tmp_name)
+            if not replaced:
+                with contextlib.suppress(OSError):
+                    os.unlink(tmp_name)
         # Make the rename itself durable where the platform allows it.
-        try:
+        with contextlib.suppress(OSError):
             dir_fd = os.open(self._dir, os.O_RDONLY)
-        except OSError:  # pragma: no cover - platform-dependent
-            return
-        try:
-            os.fsync(dir_fd)
-        except OSError:  # pragma: no cover - platform-dependent
-            pass
-        finally:
-            os.close(dir_fd)
+            try:
+                os.fsync(dir_fd)
+            finally:
+                os.close(dir_fd)
+        return self._put_token(stream_id)
+
+    def _put_token(self, stream_id: str) -> "tuple | None":
+        """``(inode, size, mtime)`` of the stream's file: a file
+        replaced or rewritten behind this instance's back (another
+        writer, a fault, an operator) no longer matches."""
+        with contextlib.suppress(OSError):
+            stat = os.stat(self._file_for(stream_id))
+            return stat.st_ino, stat.st_size, stat.st_mtime_ns
+        return None
 
     # -- corruption recovery ---------------------------------------------
     def _quarantine(self, path: Path) -> Path:
@@ -442,19 +493,6 @@ class DirectoryCheckpointStore(CheckpointStore):
                     or not self._file_for(stream_id).exists():
                 raise
             return self._fall_back(stream_id, error)
-
-    def _current_sequence(self, stream_id: str) -> int:
-        raw = self._get(stream_id)
-        if raw is None:
-            return 0
-        try:
-            return self._decode(raw, stream_id)["sequence"]
-        except CheckpointStoreError:
-            # entry() quarantines the damage and recovers the newest
-            # intact generation — or re-raises when there is none
-            # (silently restarting the sequence over garbage would
-            # hide data loss).
-            return self.entry(stream_id)["sequence"]
 
     def _get(self, stream_id: str) -> "str | None":
         """Read the stream's file; absent file means absent entry."""

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -107,3 +108,37 @@ class TestFiles:
         path.write_text(json.dumps({"kind": "mystery"}))
         with pytest.raises(ParameterError):
             load_json(path)
+
+
+class TestFlatDicts:
+    """The flat ``to_dict`` paths equal ``dataclasses.asdict`` exactly."""
+
+    def test_scan_counters_match_asdict_per_field(self):
+        counters = ScanCounters(**{
+            field.name: 7 + index for index, field
+            in enumerate(dataclasses.fields(ScanCounters))})
+        flat = counters.to_dict()
+        expected = dataclasses.asdict(counters)
+        assert list(flat) == list(expected)
+        for name in expected:
+            assert flat[name] == expected[name], name
+            assert type(flat[name]) is type(expected[name]), name
+        assert json.dumps(flat) == json.dumps(expected)
+        assert ScanCounters.from_dict(flat) == counters
+
+    def test_params_match_asdict_per_field(self):
+        from repro.core.params import WatermarkParams
+        from repro.core.serialize import params_from_dict, params_to_dict
+
+        for params in (WatermarkParams(), WatermarkParams(
+                phi=5, sigma=4, delta=0.03, prominence=0.07,
+                robust_extreme_value=False, recenter_extremes=False,
+                vote_threshold=2, window_size=1024)):
+            flat = params_to_dict(params)
+            expected = dataclasses.asdict(params)
+            assert list(flat) == list(expected)
+            for name in expected:
+                assert flat[name] == expected[name], name
+                assert type(flat[name]) is type(expected[name]), name
+            assert json.dumps(flat) == json.dumps(expected)
+            assert params_from_dict(flat) == params

@@ -281,6 +281,140 @@ class TestGenerations:
         assert leftovers == []
 
 
+class TestEnvelopeExtra:
+    """The optional ``extra`` field: saved atomically with the state."""
+
+    def test_extra_roundtrips_with_state(self, store):
+        store.save("s1", STATE, {"acked": 3, "chunks": [[0, "AA=="]]})
+        entry = store.entry("s1")
+        assert entry["state"] == STATE
+        assert entry["extra"] == {"acked": 3, "chunks": [[0, "AA=="]]}
+
+    def test_envelope_without_extra_still_loads(self, store):
+        store.save("s1", STATE)
+        assert "extra" not in store.entry("s1")
+        assert store.load("s1") == STATE
+
+    def test_non_dict_extra_rejected(self, store):
+        for extra in (["not", "a", "dict"], [], "", 0):
+            with pytest.raises(CheckpointStoreError, match="extra"):
+                store.save("s1", STATE, extra)
+
+    def test_unknown_field_next_to_extra_rejected(self, tmp_path):
+        store = DirectoryCheckpointStore(tmp_path)
+        store.save("s1", STATE, {"acked": 0})
+        path = tmp_path / "s1.json"
+        entry = json.loads(path.read_text())
+        path.write_text(json.dumps(dict(entry, smuggled=True)))
+        with pytest.raises(CheckpointStoreError, match="unknown"):
+            store.entry("s1")
+        path.write_text(json.dumps(dict(entry, extra="oops")))
+        with pytest.raises(CheckpointStoreError, match="extra"):
+            store.entry("s1")
+
+
+class TestSequenceCache:
+    """Saves remember their sequence instead of re-reading the store."""
+
+    @staticmethod
+    def _count_reads(store, monkeypatch):
+        reads = []
+        real_get = store._get
+
+        def counting_get(stream_id):
+            reads.append(stream_id)
+            return real_get(stream_id)
+
+        monkeypatch.setattr(store, "_get", counting_get)
+        return reads
+
+    def test_reopen_reads_disk_once_then_continues(self, tmp_path,
+                                                   monkeypatch):
+        first = DirectoryCheckpointStore(tmp_path)
+        assert [first.save("s", STATE) for _ in range(3)] == [1, 2, 3]
+        reopened = DirectoryCheckpointStore(tmp_path)
+        reads = self._count_reads(reopened, monkeypatch)
+        assert [reopened.save("s", STATE) for _ in range(3)] == [4, 5, 6]
+        assert reads == ["s"]
+        assert reopened.entry("s")["sequence"] == 6
+
+    def test_steady_saves_do_not_read_back(self, store, monkeypatch):
+        store.save("s", STATE)
+        reads = self._count_reads(store, monkeypatch)
+        for _ in range(5):
+            store.save("s", STATE)
+        assert reads == []
+        assert store.entry("s")["sequence"] == 6
+
+    def test_failed_write_does_not_advance(self, tmp_path, monkeypatch):
+        import repro.stores as stores_module
+
+        store = DirectoryCheckpointStore(tmp_path)
+        store.save("s", dict(STATE, n=1))
+
+        def failing_fsync(fd):
+            raise OSError(5, "injected EIO")
+
+        monkeypatch.setattr(stores_module.os, "fsync", failing_fsync)
+        with pytest.raises(CheckpointStoreError, match="cannot write"):
+            store.save("s", dict(STATE, n=2))
+        monkeypatch.undo()
+        assert store.save("s", dict(STATE, n=3)) == 2
+        assert store.load("s")["n"] == 3
+
+    @pytest.mark.parametrize("backend, fault", [
+        ("directory", "io_error_rate"), ("directory", "torn_write_rate"),
+        ("memory", "io_error_rate")])
+    def test_injected_fault_does_not_advance(self, tmp_path, backend,
+                                             fault):
+        from repro.chaos import (ChaosCheckpointStore, FaultInjector,
+                                 FaultPlan, StoreFaults)
+
+        inner = (DirectoryCheckpointStore(tmp_path) if backend == "directory"
+                 else MemoryCheckpointStore())
+        store = ChaosCheckpointStore(inner, FaultInjector(
+            FaultPlan(seed=1, store=StoreFaults(**{fault: 1e-12}))))
+        assert store.save("s", dict(STATE, n=1)) == 1
+        assert store.save("s", dict(STATE, n=2)) == 2
+        store._faults = StoreFaults(**{fault: 1.0})
+        with pytest.raises(CheckpointStoreError):
+            store.save("s", dict(STATE, n=3))
+        store._faults = StoreFaults()
+        # A torn write is quarantined on the re-read; either way the
+        # next save follows the last complete one.
+        assert store.save("s", dict(STATE, n=4)) == 3
+        assert store.entry("s")["state"]["n"] == 4
+        assert getattr(inner, "fallbacks", 0) == (fault == "torn_write_rate")
+
+    def test_delete_then_resave_restarts_at_one(self, store):
+        assert store.save("s", STATE) == 1
+        assert store.save("s", STATE) == 2
+        store.delete("s")
+        assert store.save("s", STATE) == 1
+
+    def test_save_over_corrupt_latest_keeps_a_working_fallback(self,
+                                                               tmp_path):
+        store = DirectoryCheckpointStore(tmp_path, generations=3)
+        for n in (1, 2, 3):
+            store.save("s", dict(STATE, n=n))
+        (tmp_path / "s.json").write_text('{"kind": "hub-ch')  # torn
+        # The changed file forces a read-back: the damage is quarantined
+        # and the sequence follows the newest intact generation.
+        assert store.save("s", dict(STATE, n=4)) == 3
+        (tmp_path / "s.json").write_text("{")
+        entry = store.entry("s")
+        assert (entry["sequence"], entry["state"]["n"]) == (2, 2)
+        assert store.fallbacks == 2
+        assert store.save("s", dict(STATE, n=5)) == 3
+
+    def test_another_writer_is_noticed(self, tmp_path):
+        one = DirectoryCheckpointStore(tmp_path)
+        two = DirectoryCheckpointStore(tmp_path)
+        assert one.save("s", STATE) == 1
+        assert two.save("s", STATE) == 2
+        assert one.save("s", STATE) == 3
+
+
 class _Killed(BaseException):
     """Simulates the process dying at an exact point (not an OSError,
     so the store's own error handling cannot intercept it)."""
