@@ -212,8 +212,8 @@ class StreamDetector(StreamScanner):
     def encoding_stats(self) -> dict:
         """Lifetime telemetry from the encoding strategy, if it keeps any.
 
-        Detection never embeds, but encodings with a shared probe memo
-        (multi-hash) still accrue pattern probes/hits here — the same
+        Detection never embeds, but encodings that count their probes
+        (multi-hash) still accrue pattern probes here — the same
         pull-based observability hook the embedder exposes.
         """
         snapshot = getattr(self._encoding, "stats_snapshot", None)

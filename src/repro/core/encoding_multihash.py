@@ -45,7 +45,7 @@ from repro.core.encoding_initial import EmbedOutcome, Vote
 from repro.core.params import WatermarkParams
 from repro.core.quantize import Quantizer
 from repro.errors import EncodingSearchExhausted, ParameterError
-from repro.util.hashing import KeyedHasher, PatternProber
+from repro.util.hashing import KeyedHasher, PatternProber, _keyed_context
 from repro.util.rng import make_rng
 
 
@@ -162,20 +162,15 @@ class MultihashEncoding:
         # from the search loop itself).
         self.embeds = 0
         self.total_search_iterations = 0
-        # Hot-path machinery: the shared PatternProber keeps a digest
-        # context pre-fed with the leading key (copy() per probe beats
-        # re-hashing the prefix) plus a bounded (avg_key, label) memo —
-        # the pruned search re-tests the same short-run averages across
-        # backtracking candidates, and detection re-keys every average
-        # of overlapping active runs.  Both the batched paths and the
-        # retained scalar oracles probe through it.
+        # Hot-path machinery: the PatternProber keeps a digest context
+        # pre-fed with the leading key (copy() per probe beats re-hashing
+        # the prefix).  Detection, the random search and the retained
+        # scalar oracles probe through it; the pruned search inlines the
+        # same probe.
         self._prober = PatternProber(self._key, params.omega,
-                                     self._algorithm,
-                                     self._PATTERN_MEMO_LIMIT)
+                                     self._algorithm)
 
     # ------------------------------------------------------------------
-    _PATTERN_MEMO_LIMIT = 1 << 16
-
     def _pattern(self, avg_key: int, label: int) -> int:
         return self._prober.pattern(avg_key, label)
 
@@ -225,15 +220,12 @@ class MultihashEncoding:
         return EmbedOutcome(q_values=working, iterations=stats.iterations)
 
     def stats_snapshot(self) -> dict:
-        """Lifetime search/memo telemetry (JSON-safe, pull-based)."""
-        prober = self._prober
+        """Lifetime search/probe telemetry (JSON-safe, pull-based)."""
         return {
             "encoding": self.name,
             "embeds": self.embeds,
             "search_iterations": self.total_search_iterations,
-            "pattern_probes": prober.probes,
-            "pattern_memo_hits": prober.probes - prober.misses,
-            "pattern_memo_size": len(prober),
+            "pattern_probes": self._prober.probes,
         }
 
     # ------------------------------------------------------------------
@@ -390,9 +382,10 @@ class MultihashEncoding:
         over the already-fixed items ``i..k-1`` (valid for as long as
         item ``k``'s ladder is live, because backtracking from ``k+1``
         never touches them), reducing each probe to one add, one divide
-        and one keying; and the convention probes share the
-        :class:`~repro.util.hashing.PatternProber` memo.  Candidates are
-        still *decided* sequentially, so the accepted configuration, the
+        and one keying; and the length-1 run is keyed in exact integer
+        arithmetic, so a candidate's float value is only computed once
+        its first probe passes.  Candidates are still *decided*
+        sequentially, so the accepted configuration, the
         iteration and hash-evaluation counts and both raise points are
         bit-identical to :meth:`_search_pruned_scalar` (property-tested).
         """
@@ -411,15 +404,10 @@ class MultihashEncoding:
         floats = [float(v)
                   for v in quantizer.dequantize_array(q_segment)]
 
-        # The search probes fresh (avg_key, label) pairs almost
-        # exclusively — the prober's memo serves detection's overlapping
-        # subsets, but here a memoized miss costs more than the hash —
-        # so the convention probe is inlined: one context copy off the
+        # The convention probe is inlined: one context copy off the
         # key-fed base, one update, and (for the usual ω <= 8) a single
         # trailing-byte mask, the lsb() of the digest.
-        base = hashlib.new(self._algorithm)
-        base.update(self._key)
-        context_copy = base.copy
+        context_copy = _keyed_context(self._key, self._algorithm).copy
         tail = label.to_bytes(8, "big") + self._key
         to_bytes = int.to_bytes
         omega = params.omega
@@ -430,6 +418,12 @@ class MultihashEncoding:
         avg_scale = quantizer.average_scale
         key_upper = (1 << quantizer.avg_key_bits) - 1
         max_iter = params.max_search_iterations
+        # The length-1 run's key in integer form: for q = high | low,
+        # floor((dequantize(q) + 0.5) * 2^(b+e)) == (q << e) | 2^(e-1).
+        # Every float step of the left side is exact while b + e <= 52
+        # (Quantizer enforces it), and the result never needs the clamp.
+        extra = quantizer.avg_key_bits - quantizer.value_bits
+        hkeys = [(h << extra) | (1 << (extra - 1)) for h in highs]
 
         # Static per-level metadata.  The length-1 run ``(k, k)`` always
         # ends at ``k`` and is always probed first (active_pairs emits
@@ -498,37 +492,33 @@ class MultihashEncoding:
                 blocks[k] = block
                 cursors[k] = cursor = 0
             info = runinfo[k]
+            hkey = hkeys[k]
             winner_q = -1
             winner_f = 0.0
             tried = 0
             extra_probes = 0
             for low in (block[cursor:] if cursor else block):
                 tried += 1
-                # Inline dequantize (same ops as Quantizer.dequantize,
-                # bounds guaranteed by construction).
-                value = (fhigh + low) / scale - 0.5
                 # Probe the length-1 run (always first, always present).
-                # int() truncation == floor here: value > -0.5 by
-                # construction (q >= 0), so the operand is non-negative.
-                key = int((value + 0.5) * avg_scale)
-                if key < 0:
-                    key = 0
-                elif key > key_upper:
-                    key = key_upper
                 context = context_copy()
-                context.update(to_bytes(key, 8, "big"))
+                context.update(to_bytes(hkey | low << extra, 8, "big"))
                 context.update(tail)
                 digest = context.digest()
                 pattern = (digest[-1] & omega_mask if narrow else
                            int.from_bytes(digest[-3:], "big") & omega_mask)
                 if pattern != target:
                     continue
+                # Inline dequantize (same ops as Quantizer.dequantize,
+                # bounds guaranteed by construction).
+                value = (fhigh + low) / scale - 0.5
                 ok = True
                 for (i, n, prefix) in info:
                     if prefix is None:
                         floats[k] = value
                         key = quantizer.average_key(floats[i:k + 1])
                     else:
+                        # int() truncation == floor: the mean of values
+                        # > -0.5 keeps the operand non-negative.
                         mean = (prefix + value) / n
                         key = int((mean + 0.5) * avg_scale)
                         if key < 0:
@@ -680,7 +670,7 @@ class MultihashEncoding:
         a sliding left-to-right sum gives every same-length average in
         one elementwise add (the accumulation order per window matches
         the scalar sum, so the keys agree bit-for-bit), the keying is
-        one array op, and the probes share the memo.  Counting is
+        one array op, and the probes run as one batched call.  Counting is
         commutative, so the vote equals :meth:`detect_scalar`'s
         (property-tested).
         """

@@ -220,10 +220,6 @@ class StreamHub:
         m.gauge_callback(
             "hub_search_iterations_total",
             lambda: self.encoding_summary()["search_iterations"], **labels)
-        m.gauge_callback(
-            "hub_pattern_memo_hit_rate",
-            lambda: self.encoding_summary()["pattern_memo_hit_rate"],
-            **labels)
 
     # ------------------------------------------------------------------
     # registration
@@ -487,22 +483,18 @@ class StreamHub:
         """Aggregate encoding-search telemetry across *live* sessions.
 
         Sums each resident session's ``encoding_stats()`` (embeds,
-        search iterations, pattern-memo probes/hits) and derives the
-        memo hit rate.  Evicted sessions are not restored for this —
-        their in-memory search state died with them, so the summary is
-        a live-fleet view, sampled only when somebody asks (STATUS
-        frame, ``--status-interval``); the hot loops keep plain ints.
+        search iterations, convention-pattern probes).  Evicted sessions
+        are not restored for this — their in-memory search state died
+        with them, so the summary is a live-fleet view, sampled only
+        when somebody asks (STATUS frame, ``--status-interval``); the
+        hot loops keep plain ints.
         """
-        totals = {"embeds": 0, "search_iterations": 0,
-                  "pattern_probes": 0, "pattern_memo_hits": 0}
+        totals = {"embeds": 0, "search_iterations": 0, "pattern_probes": 0}
         for session in self._sessions.values():
             stats_fn = getattr(session, "encoding_stats", None)
             snap = stats_fn() if stats_fn is not None else {}
             for key in totals:
                 totals[key] += int(snap.get(key, 0) or 0)
-        probes = totals["pattern_probes"]
-        totals["pattern_memo_hit_rate"] = (
-            round(totals["pattern_memo_hits"] / probes, 4) if probes else None)
         return totals
 
     @property

@@ -337,7 +337,7 @@ class DetectionSession:
         return self._detector.counters.items - self._detector.items_pending
 
     def encoding_stats(self) -> dict:
-        """Lifetime encoding telemetry (probe memo counters; see
+        """Lifetime encoding telemetry (probe counters; see
         :meth:`repro.core.detector.StreamDetector.encoding_stats`)."""
         return self._detector.encoding_stats()
 

@@ -2,12 +2,26 @@
 
 from __future__ import annotations
 
+import hashlib
+import pickle
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import KeyError_, ParameterError
-from repro.util.hashing import H, KeyedHasher, PatternProber, hash_to_int
+from repro.util.hashing import (
+    _BUILTIN_DIGESTS,
+    H,
+    KeyedHasher,
+    PatternProber,
+    _builtin_constructor,
+    _keyed_context,
+    hash_to_int,
+)
+
+ALGORITHMS = ("md5", "sha1", "sha256", "sha512")
 
 
 class TestH:
@@ -114,36 +128,80 @@ class TestPatternProber:
         assert prober.patterns(avg_keys, 5) == \
             [prober.pattern(a, 5) for a in avg_keys]
 
-    def test_full_memo_keeps_recent_hits(self):
-        """Regression: eviction must keep the *young* half of the memo.
-
-        The old behaviour wiped the whole table at the limit, which
-        discarded the hot (avg_key, label) pairs the pruned search was
-        actively re-testing.  Filling the memo past its limit must
-        leave the most recent probes cached.
-        """
-        prober = PatternProber(b"k1", omega=2, memo_limit=8)
-        for avg_key in range(9):  # the 9th insert triggers eviction
-            prober.pattern(avg_key, 1)
-        assert len(prober) == 5  # survivors (4 young) + the new entry
-        memo = prober._memo
-        # The most recent pre-eviction probes survived...
-        for avg_key in (5, 6, 7, 8):
-            assert (avg_key, 1) in memo
-        # ...and the oldest were the ones dropped.
-        for avg_key in (0, 1, 2, 3):
-            assert (avg_key, 1) not in memo
-
-    def test_eviction_preserves_values(self):
-        prober = PatternProber(b"k1", omega=3, memo_limit=4)
-        fresh = PatternProber(b"k1", omega=3)
-        for avg_key in range(50):
-            assert prober.pattern(avg_key, 2) == fresh.pattern(avg_key, 2)
+    def test_probes_counted(self):
+        prober = PatternProber(b"k1", omega=1)
+        prober.pattern(3, 1)
+        prober.patterns([3, 4, 5], 1)
+        assert prober.probes == 4
 
     def test_validation(self):
         with pytest.raises(ParameterError):
             PatternProber(b"k1", omega=0)
         with pytest.raises(ParameterError):
-            PatternProber(b"k1", omega=1, memo_limit=1)
-        with pytest.raises(ParameterError):
             PatternProber(b"k1", omega=1, algorithm="md4")
+
+
+class TestKeyedContext:
+    """The one digest constructor behind every keyed probe."""
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize("payload", [b"", b"\x00" * 16, b"p" * 40,
+                                         bytes(range(64)), b"q" * 300])
+    def test_copy_update_matches_hashlib(self, algorithm, payload):
+        key = b"keyed-context"
+        base = _keyed_context(key, algorithm)
+        context = base.copy()
+        context.update(payload)
+        assert context.digest() == \
+            hashlib.new(algorithm, key + payload).digest()
+        # The base stays reusable: copies never feed it.
+        assert base.digest() == hashlib.new(algorithm, key).digest()
+
+    @pytest.fixture
+    def fresh_resolution(self):
+        """Re-resolve built-in constructors inside the test and after."""
+        _builtin_constructor.cache_clear()
+        yield
+        _builtin_constructor.cache_clear()
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_fallback_without_builtin_module(self, algorithm, monkeypatch,
+                                             fresh_resolution):
+        from repro.core.encoding_multihash import convention_pattern
+
+        for module, _ in _BUILTIN_DIGESTS[algorithm]:
+            monkeypatch.setitem(sys.modules, module, None)
+        context = _keyed_context(b"k1", algorithm)
+        assert type(context) is type(hashlib.new(algorithm))
+        prober = PatternProber(b"k1", omega=4, algorithm=algorithm)
+        avg_keys = list(range(0, 3000, 37))
+        assert prober.patterns(avg_keys, 11) == [
+            convention_pattern(b"k1", a, 11, 4, algorithm)
+            for a in avg_keys]
+        assert KeyedHasher(b"k1", algorithm).hash_int(5) == \
+            H(5, b"k1", algorithm)
+
+    def test_keyed_hasher_pickles_into_detect_many_worker(self):
+        import numpy as np
+
+        from repro.core.embedder import watermark_stream
+        from repro.core.params import WatermarkParams
+        from repro.core.parallel_detect import DetectionTask, detect_many
+        from repro.streams.generators import TemperatureSensorGenerator
+
+        hasher = KeyedHasher(b"pickled-key")
+        clone = pickle.loads(pickle.dumps(hasher))
+        assert clone == hasher and clone.mod_text("x", 97) == \
+            hasher.mod_text("x", 97)
+
+        params = WatermarkParams(window_size=64)
+        data = TemperatureSensorGenerator(eta=60, seed=12).generate(3000)
+        marked, _ = watermark_stream(np.array(data), "1", hasher.key,
+                                     params=params)
+        tasks = [DetectionTask(values=marked, wm_length=1, key=hasher,
+                               params=params),
+                 DetectionTask(values=marked, wm_length=1, key=hasher.key,
+                               params=params)]
+        pooled = detect_many(tasks, workers=2)
+        assert pooled == detect_many(tasks)
+        assert pooled[0] == pooled[1]

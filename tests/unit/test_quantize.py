@@ -102,6 +102,26 @@ class TestAverageKey:
         v = q.dequantize(12345678)
         assert q.average_key([v]) == q.average_key_scalar(v)
 
+    def test_singleton_key_integer_form(self):
+        """``average_key`` of one dequantized cell is ``(q << e) | 2^(e-1)``.
+
+        The pruned multi-hash search keys its length-1 runs with this
+        integer form.  It holds for every allowed width pair because
+        dequantize, +0.5, the 2^(b+e) scaling and the floor are all exact
+        while b + e <= 52, and the clamp never fires.
+        """
+        rng = np.random.default_rng(20261017)
+        for bits in range(8, 49):
+            max_q = (1 << bits) - 1
+            for extra in range(1, 53 - bits):
+                quantizer = Quantizer(bits, extra)
+                randoms = [int(rng.integers(0, max_q, endpoint=True))
+                           for _ in range(4)]
+                for q in (0, max_q, *randoms):
+                    assert (q << extra) | (1 << (extra - 1)) == \
+                        quantizer.average_key([quantizer.dequantize(q)]), \
+                        (bits, extra, q)
+
     def test_key_changes_with_single_lsb_step(self):
         """One quantization-step change in one member must move the key.
 
