@@ -35,6 +35,8 @@ import numpy as np
 from repro.errors import ParameterError
 from repro.util.validation import as_float_array
 
+NAN_KEY_MESSAGE = "cannot key a non-finite average (nan)"
+
 
 class Quantizer:
     """Bidirectional map between normalized floats and b-bit integers."""
@@ -53,6 +55,7 @@ class Quantizer:
         self._extra = avg_extra_bits
         self._scale = float(1 << value_bits)
         self._avg_scale = float(1 << (value_bits + avg_extra_bits))
+        self._avg_upper = (1 << (value_bits + avg_extra_bits)) - 1
         self._max_q = (1 << value_bits) - 1
 
     # ------------------------------------------------------------------
@@ -172,22 +175,34 @@ class Quantizer:
             raise ParameterError("average_key of an empty range")
         if n < 8:
             # numpy's pairwise summation degenerates to a plain
-            # left-to-right sum below 8 elements, so a Python sum over
+            # left-to-right sum below 8 elements, so a Python loop over
             # the same doubles is bit-identical — and an order of
             # magnitude cheaper for the short sub-ranges the multi-hash
-            # search probes.
-            mean = sum(array.tolist()) / n
+            # search probes.  Not ``sum()``: from Python 3.12 it
+            # compensates float rounding and no longer matches numpy.
+            total = 0.0
+            for v in array.tolist():
+                total += v
+            mean = total / n
         else:
             mean = float(np.mean(array))
-        key = math.floor((mean + 0.5) * self._avg_scale)
-        upper = (1 << self.avg_key_bits) - 1
-        return min(max(key, 0), upper)
+        return self.mean_key(mean)
 
     def average_key_scalar(self, value: float) -> int:
         """Average key of a single received item (degenerate sub-range)."""
-        key = math.floor((float(value) + 0.5) * self._avg_scale)
-        upper = (1 << self.avg_key_bits) - 1
-        return min(max(key, 0), upper)
+        return self.mean_key(float(value))
+
+    def mean_key(self, mean: float) -> int:
+        """Key of a sub-range mean, ``floor((mean + 0.5) * 2^(b + e))``
+        clamped in float space: ±inf saturates, NaN raises."""
+        scaled = (mean + 0.5) * self._avg_scale
+        if scaled <= 0:
+            return 0
+        if scaled >= self._avg_upper:
+            return self._avg_upper
+        if scaled != scaled:
+            raise ParameterError(NAN_KEY_MESSAGE)
+        return int(scaled)
 
     def average_key_array(self, means) -> np.ndarray:
         """Vectorized :meth:`average_key` over precomputed sub-range means.
@@ -197,16 +212,17 @@ class Quantizer:
         ``floor((m + 0.5) * 2^(b + e))`` keying and the clamp as array
         ops.  ``floor`` of an IEEE double and ``math.floor`` of the same
         double agree exactly (keys stay far below 2^52), so each entry
-        equals ``average_key`` of a sub-range with that mean.
+        equals ``average_key`` of a sub-range with that mean.  Multi-hash
+        detection keys its ~6-item subsets in a scalar pass instead: at
+        that size the ufunc dispatch costs more than the keys.
         """
         array = np.asarray(means, dtype=np.float64)
         keys = np.floor((array + 0.5) * self._avg_scale)
-        upper = (1 << self.avg_key_bits) - 1
-        # Clamp in float space first: received (attacked) streams can sit
-        # far outside the quantizer range, where an int64 cast of the
-        # raw floor would overflow instead of saturating like the
-        # scalar's min/max.
-        return np.clip(keys, 0, upper).astype(np.int64)
+        if np.isnan(keys).any():
+            raise ParameterError(NAN_KEY_MESSAGE)
+        # Clamp in float space first: an int64 cast of a far out-of-range
+        # floor would overflow instead of saturating.
+        return np.clip(keys, 0, self._avg_upper).astype(np.int64)
 
     @property
     def average_scale(self) -> float:

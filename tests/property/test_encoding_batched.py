@@ -10,7 +10,9 @@ oracles; these tests pin the batched paths to them bit-for-bit:
   identical ``EncodingSearchExhausted`` raise point *and message*, and
   — for the random method — an identical post-embed RNG stream
   position (downstream embeds consume the same generator);
-* multihash detection: identical vote;
+* multihash detection: identical vote, also at run lengths up to 10,
+  trimmed subsets and out-of-domain received values (where a NaN
+  average raises :class:`ParameterError` on both paths);
 * quadres embeds and detection: identical values, stats and votes, via
   the Jacobi-backed residue table vs Euler's criterion;
 * :func:`jacobi_symbol` agrees with :func:`is_quadratic_residue` on the
@@ -19,9 +21,11 @@ oracles; these tests pin the batched paths to them bit-for-bit:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.encoding_multihash import MultihashEncoding
@@ -33,7 +37,7 @@ from repro.core.encoding_quadres import (
 )
 from repro.core.params import WatermarkParams
 from repro.core.quantize import Quantizer
-from repro.errors import EncodingSearchExhausted
+from repro.errors import EncodingSearchExhausted, ParameterError
 from repro.util.hashing import KeyedHasher
 
 # ----------------------------------------------------------------------
@@ -66,6 +70,45 @@ def multihash_cases(draw):
         min_size=size, max_size=size))
     offset = draw(st.integers(min_value=0, max_value=size - 1))
     return params, quantizer, q_subset, offset
+
+
+@st.composite
+def multihash_detect_cases(draw):
+    """A detection configuration past the embed strategy's reach.
+
+    Covers the default run length 6, the ``average_key`` branch of runs
+    of 8 or more, the ``max_subset_detect`` trim (subsets up to 24 of a
+    16-item cap) and received values outside the quantizer domain:
+    ×10 scaling, ±1e6, ±inf and NaN.
+    """
+    params = WatermarkParams(
+        omega=draw(st.integers(min_value=1, max_value=3)),
+        active_run_length=draw(st.just(6) | st.integers(min_value=1,
+                                                        max_value=10)),
+    )
+    quantizer = Quantizer(value_bits=draw(st.integers(min_value=16,
+                                                      max_value=32)),
+                          avg_extra_bits=draw(st.integers(min_value=2,
+                                                          max_value=8)))
+    scale = draw(st.sampled_from([1.0, 10.0]))
+    size = draw(st.integers(min_value=1, max_value=24))
+    received = [scale * v for v in draw(st.lists(
+        st.floats(min_value=-0.4999, max_value=0.4999),
+        min_size=size, max_size=size))]
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        position = draw(st.integers(min_value=0,
+                                    max_value=len(received) - 1))
+        received[position] = draw(st.sampled_from(
+            [1e6, -1e6, math.inf, -math.inf, math.nan]))
+    offset = draw(st.integers(min_value=0, max_value=len(received) - 1))
+    return params, quantizer, np.asarray(received), offset
+
+
+def _detect_or_raise(detect, received, offset, label):
+    try:
+        return detect(received, offset, label), None
+    except Exception as exc:  # noqa: BLE001 - the type is the outcome
+        return None, type(exc)
 
 
 def _embed_or_raise(encoding, q_subset, offset, label, bit):
@@ -117,6 +160,36 @@ class TestMultihashBatchedParity:
             dtype=np.float64) + noise
         assert encoding.detect(received, offset, label) == \
             encoding.detect_scalar(received, offset, label)
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=multihash_detect_cases(), key=keys, label=labels)
+    # Pinned reach: the default run length on a degree-2-sized subset,
+    # runs of 8+ inside a trimmed 24-item subset, saturating infinities,
+    # a NaN and cancelling magnitudes.
+    @example(case=(WatermarkParams(), Quantizer(),
+                   np.linspace(-0.3, 0.3, 6), 2), key=b"k", label=5)
+    @example(case=(WatermarkParams(active_run_length=10), Quantizer(),
+                   np.linspace(-0.4, 0.4, 24), 20), key=b"k", label=5)
+    @example(case=(WatermarkParams(active_run_length=10), Quantizer(),
+                   np.array([0.1] * 5 + [math.inf, -1e6] + [0.2] * 5), 6),
+             key=b"k", label=5)
+    @example(case=(WatermarkParams(), Quantizer(),
+                   np.array([0.1, math.nan, 0.2]), 1), key=b"k", label=5)
+    # Cancelling magnitudes: only a plain left-to-right sum (not a
+    # compensated one) keeps the scalar oracle's key equal to numpy's.
+    @example(case=(WatermarkParams(active_run_length=3), Quantizer(32, 8),
+                   np.array([0.1, 1e6, -1e6]), 1), key=b"k", label=5)
+    def test_detect_vote_identical_wide(self, case, key, label):
+        params, quantizer, received, offset = case
+        encoding = MultihashEncoding(params, quantizer, KeyedHasher(key),
+                                     batched=True)
+        got = _detect_or_raise(encoding.detect, received, offset, label)
+        want = _detect_or_raise(encoding.detect_scalar, received, offset,
+                                label)
+        assert got == want
+        # A NaN average (a NaN member, or opposite infinities) is the
+        # only way to fail; it fails alike on both paths.
+        assert got[1] in (None, ParameterError)
 
 
 # ----------------------------------------------------------------------

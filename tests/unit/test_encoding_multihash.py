@@ -204,3 +204,22 @@ class TestSummarizationConsistency:
             n_false += vote.n_false
         total = n_true + n_false
         assert abs(n_true - n_false) < 0.25 * total
+
+
+class TestNonFiniteDetect:
+    """Batched detection and its scalar oracle agree off the domain."""
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_infinity_votes_match_oracle(self, value):
+        encoding = MultihashEncoding(PARAMS, QUANTIZER, HASHER)
+        received = np.array([0.1, value, 0.2])
+        assert encoding.detect(received, 1, 5) == \
+            encoding.detect_scalar(received, 1, 5)
+
+    @pytest.mark.parametrize("received", [[0.1, np.nan, 0.2],
+                                          [0.1, np.inf, -np.inf, 0.2]])
+    def test_nan_average_raises_parameter_error(self, received):
+        encoding = MultihashEncoding(PARAMS, QUANTIZER, HASHER)
+        for detect in (encoding.detect, encoding.detect_scalar):
+            with pytest.raises(ParameterError, match="nan"):
+                detect(np.array(received), 1, 5)

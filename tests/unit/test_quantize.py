@@ -146,3 +146,39 @@ class TestAverageKey:
     def test_empty_range_rejected(self):
         with pytest.raises(ParameterError):
             Quantizer(32).average_key([])
+
+    def test_short_range_sums_left_to_right(self):
+        # 0.1 + 1e6 - 1e6 rounds away from 0.1 in plain double adds; a
+        # compensated sum (Python 3.12's ``sum``) would return 0.1 and
+        # key differently from numpy's mean of the same doubles.
+        q = Quantizer(32, 8)
+        values = [0.1, 1e6, -1e6]
+        assert q.average_key(values) == \
+            q.average_key_array([np.mean(values)]).tolist()[0]
+        assert q.average_key(values) != q.mean_key(0.1 / 3)
+
+
+class TestNonFiniteKeys:
+    """Received values outside the domain: ±inf saturates, NaN raises."""
+
+    @pytest.mark.parametrize("value, key", [(np.inf, (1 << 40) - 1),
+                                            (-np.inf, 0)])
+    def test_infinities_saturate_on_every_path(self, value, key):
+        q = Quantizer(32, 8)
+        assert q.average_key_scalar(value) == key
+        assert q.average_key([0.1, value, 0.2]) == key
+        assert q.average_key([0.1] * 9 + [value]) == key
+        assert q.average_key_array([value]).tolist() == [key]
+
+    @pytest.mark.parametrize("values", [[np.nan], [0.1, np.nan, 0.2],
+                                        [np.inf, -np.inf],
+                                        [0.1] * 9 + [np.nan]])
+    def test_nan_average_raises_on_every_path(self, values):
+        q = Quantizer(32, 8)
+        with pytest.raises(ParameterError, match="nan"):
+            q.average_key(values)
+        if len(values) == 1:
+            with pytest.raises(ParameterError, match="nan"):
+                q.average_key_scalar(values[0])
+            with pytest.raises(ParameterError, match="nan"):
+                q.average_key_array(values)
